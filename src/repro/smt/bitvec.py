@@ -20,13 +20,24 @@ from .sat import SatSolver, lit, neg
 
 
 class BitBlaster:
-    """Translate a BV/bool formula into CNF over a SatSolver."""
+    """Translate a BV/bool formula into CNF over a SatSolver.
+
+    The gates fold constant and duplicate inputs and hash AND/XOR gates
+    structurally, so circuits over constant bits (partial products, shifter
+    fill, widened operands) cost no clauses.  The true literal is always
+    positive, which keeps the sign handling below to one bit test.
+    """
 
     def __init__(self):
         self.sat = SatSolver()
         self._bool_cache: dict[T.Term, int] = {}
         self._bits_cache: dict[T.Term, list[int]] = {}
-        self._true_lit: Optional[int] = None
+        self._true_lit = lit(self.sat.new_var())
+        self.sat.add_clause([self._true_lit])
+        # Ordered input pair -> output literal.  XOR keys have both inputs
+        # made positive, since xor(~a, b) = ~xor(a, b).
+        self._and_gates: dict[tuple[int, int], int] = {}
+        self._xor_gates: dict[tuple[int, int], int] = {}
 
     # -- primitive gates ------------------------------------------------------
 
@@ -34,36 +45,63 @@ class BitBlaster:
         return lit(self.sat.new_var())
 
     def true_lit(self) -> int:
-        if self._true_lit is None:
-            self._true_lit = self._new_lit()
-            self.sat.add_clause([self._true_lit])
         return self._true_lit
 
     def false_lit(self) -> int:
-        return neg(self.true_lit())
+        return neg(self._true_lit)
 
     def gate_and(self, a: int, b: int) -> int:
-        o = self._new_lit()
-        self.sat.add_clause([neg(o), a])
-        self.sat.add_clause([neg(o), b])
-        self.sat.add_clause([o, neg(a), neg(b)])
+        t = self._true_lit
+        if a == b or b == t:
+            return a
+        if a == t:
+            return b
+        if a == neg(b) or a == neg(t) or b == neg(t):
+            return neg(t)
+        key = (a, b) if a < b else (b, a)
+        o = self._and_gates.get(key)
+        if o is None:
+            o = self._new_lit()
+            self.sat.add_clause([neg(o), a])
+            self.sat.add_clause([neg(o), b])
+            self.sat.add_clause([o, neg(a), neg(b)])
+            self._and_gates[key] = o
         return o
 
     def gate_or(self, a: int, b: int) -> int:
         return neg(self.gate_and(neg(a), neg(b)))
 
     def gate_xor(self, a: int, b: int) -> int:
-        o = self._new_lit()
-        self.sat.add_clause([neg(o), a, b])
-        self.sat.add_clause([neg(o), neg(a), neg(b)])
-        self.sat.add_clause([o, neg(a), b])
-        self.sat.add_clause([o, a, neg(b)])
-        return o
+        flip = (a ^ b) & 1
+        a &= ~1
+        b &= ~1
+        t = self._true_lit
+        if a == b:
+            return neg(t) ^ flip
+        if a == t:
+            return neg(b) ^ flip
+        if b == t:
+            return neg(a) ^ flip
+        key = (a, b) if a < b else (b, a)
+        o = self._xor_gates.get(key)
+        if o is None:
+            o = self._new_lit()
+            self.sat.add_clause([neg(o), a, b])
+            self.sat.add_clause([neg(o), neg(a), neg(b)])
+            self.sat.add_clause([o, neg(a), b])
+            self.sat.add_clause([o, a, neg(b)])
+            self._xor_gates[key] = o
+        return o ^ flip
 
     def gate_iff(self, a: int, b: int) -> int:
         return neg(self.gate_xor(a, b))
 
     def gate_ite(self, c: int, t: int, e: int) -> int:
+        true = self._true_lit
+        if c == true or t == e:
+            return t
+        if c == neg(true):
+            return e
         o = self._new_lit()
         self.sat.add_clause([neg(c), neg(t), o])
         self.sat.add_clause([neg(c), t, neg(o)])

@@ -502,7 +502,7 @@ class SmtSolver:
         # with fresh variables (and fresh defining clauses).
         self._ite_cache.clear()
         nnf = self._nnf(formula, True, ())
-        nnf = self._lift_ground(nnf)
+        nnf = self._lift_ground(nnf, {})
         return self._tseitin(nnf)
 
     def _nnf(self, t: T.Term, positive: bool, univ_scope: tuple) -> T.Term:
@@ -556,37 +556,40 @@ class SmtSolver:
         # Atom (or boolean leaf).
         return t if positive else T.Not(t)
 
-    def _lift_ground(self, t: T.Term) -> T.Term:
+    def _lift_ground(self, t: T.Term, memo: dict) -> T.Term:
         """Lift ground non-bool ITEs to fresh vars; add div/mod axioms.
 
         Quantifier bodies are left alone — instances get lifted when created.
+        ``memo`` holds the result for every subterm already lifted in this
+        top-level call, so a shared DAG is walked once, not as a tree; the
+        first visits, and so the fresh ``ite`` names, keep the tree order.
         """
-        if t.is_quant():
-            return t
-        if t.kind == T.ITE and t.sort is not BOOL:
-            cached = self._ite_cache.get(t)
-            if cached is not None:
-                return cached
-            c = self._lift_ground(t.args[0])
-            a = self._lift_ground(t.args[1])
-            b = self._lift_ground(t.args[2])
-            v = T.Var(T.fresh_name("ite"), t.sort)
-            self._ite_cache[t] = v
-            self._sat.add_clause([self._tseitin(
-                T.And(T.Implies(c, T.Eq(v, a)), T.Implies(T.Not(c), T.Eq(v, b))))])
-            return v
-        if t.kind in (T.IDIV, T.IMOD):
-            a = self._lift_ground(t.args[0])
-            b = self._lift_ground(t.args[1])
-            t2 = T.Div(a, b) if t.kind == T.IDIV else T.Mod(a, b)
+        out = memo.get(t)
+        if out is not None:
+            return out
+        if t.is_quant() or not t.args:
+            out = t
+        elif t.kind == T.ITE and t.sort is not BOOL:
+            out = self._ite_cache.get(t)
+            if out is None:
+                c = self._lift_ground(t.args[0], memo)
+                a = self._lift_ground(t.args[1], memo)
+                b = self._lift_ground(t.args[2], memo)
+                out = T.Var(T.fresh_name("ite"), t.sort)
+                self._ite_cache[t] = out
+                self._sat.add_clause([self._tseitin(
+                    T.And(T.Implies(c, T.Eq(out, a)),
+                          T.Implies(T.Not(c), T.Eq(out, b))))])
+        elif t.kind in (T.IDIV, T.IMOD):
+            a = self._lift_ground(t.args[0], memo)
+            b = self._lift_ground(t.args[1], memo)
+            out = T.Div(a, b) if t.kind == T.IDIV else T.Mod(a, b)
             self._add_divmod_axioms(a, b)
-            return t2
-        if not t.args:
-            return t
-        new_args = tuple(self._lift_ground(a) for a in t.args)
-        if new_args == t.args:
-            return t
-        return T._rebuild(t, new_args)
+        else:
+            new_args = tuple(self._lift_ground(a, memo) for a in t.args)
+            out = t if new_args == t.args else T._rebuild(t, new_args)
+        memo[t] = out
+        return out
 
     def _add_divmod_axioms(self, a: T.Term, b: T.Term) -> None:
         key = (a, b)
@@ -651,7 +654,7 @@ class SmtSolver:
         if k == T.EXISTS:
             # Residual existential (inside an instance body): skolemize now.
             skolem = self._nnf(t, True, ())
-            return self._tseitin(self._lift_ground(skolem))
+            return self._tseitin(self._lift_ground(skolem, {}))
         # Theory atom.
         return mk_lit(self._atom(t))
 
@@ -940,7 +943,7 @@ class SmtSolver:
         self._record_instantiation(quant, trigger_label)
         body = T.substitute(quant.body, sub)
         body = self._nnf(body, True, ())
-        body = self._lift_ground(body)
+        body = self._lift_ground(body, {})
         inst_lit = self._tseitin(body)
         proxy = mk_lit(self._proxy_for(quant))
         self._sat.add_clause([neg(proxy), inst_lit])

@@ -149,7 +149,7 @@ class Term:
             and ``(bound_vars, triggers)`` for quantifiers.
     """
 
-    __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free")
+    __slots__ = ("kind", "sort", "args", "payload", "_hash", "_free", "_size")
     _interned: dict[tuple, "Term"] = {}
 
     def __new__(cls, kind: str, sort: Sort, args: tuple = (), payload=None):
@@ -166,6 +166,7 @@ class Term:
                              *(a._hash for a in args),
                              _payload_hash(payload))
         obj._free = None
+        obj._size = 0
         # Atomic under the GIL; losers of a racy double-construct are dropped.
         return cls._interned.setdefault(key, obj)
 
@@ -247,8 +248,10 @@ class Term:
             stack.extend(t.args)
 
     def size(self) -> int:
-        """Number of distinct subterms (DAG size)."""
-        return sum(1 for _ in self.subterms())
+        """Number of distinct subterms (DAG size), computed once and cached."""
+        if not self._size:
+            self._size = sum(1 for _ in self.subterms())
+        return self._size
 
 
 # ---------------------------------------------------------------------------
